@@ -21,8 +21,7 @@
 #                   to verify byte-identical frontiers/traces, with the
 #                   trace proving the screen pruned the space
 #   make hetsmoke - heterogeneous farms: deterministic mixed-kind
-#                   sweeps, per-tenant contention metrics, and the
-#                   pareq band under -domains 4
+#                   sweeps and per-tenant contention metrics
 #   make fuzz     - short native-fuzz pass over the manifest and shard
 #                   plan parsers (FUZZTIME per target, default 10s)
 #   make golden   - golden-row conformance suite (all nine experiments)
@@ -38,7 +37,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race examples smoke shardsmoke fleetsmoke servesmoke exploresmoke parallelsmoke hetsmoke fuzz golden cover equiv ci bench benchcheck figures clean
+.PHONY: all build vet lint test race examples smoke shardsmoke fleetsmoke servesmoke exploresmoke hetsmoke fuzz golden cover equiv ci bench benchcheck figures clean
 
 # Minimum total statement coverage (percent) make cover enforces.
 COVER_FLOOR ?= 75
@@ -156,9 +155,8 @@ exploresmoke:
 	@rm -rf $(EXPLORESMOKE_DIR)
 
 # Heterogeneous smoke: the mixed-kind farm manifest swept twice from
-# fresh caches must render byte-identical rows, the two-tenant
-# contention sweep must surface per-tenant slowdown and fairness, and
-# both manifests must stay inside the 5% pareq band under -domains 4.
+# fresh caches must render byte-identical rows, and the two-tenant
+# contention sweep must surface per-tenant slowdown and fairness.
 HETSMOKE_DIR := .hetsmoke
 hetsmoke:
 	@rm -rf $(HETSMOKE_DIR) && mkdir -p $(HETSMOKE_DIR)
@@ -171,16 +169,8 @@ hetsmoke:
 		grep -q "t1_slowdown" $(HETSMOKE_DIR)/tenants.txt && \
 		grep -q "fairness" $(HETSMOKE_DIR)/tenants.txt || \
 		{ echo "hetsmoke: per-tenant metrics missing:"; cat $(HETSMOKE_DIR)/tenants.txt; exit 1; }
-	$(GO) run ./cmd/accesys pareq -nocache -domains 4 -tol 0.05 testdata/hetfarm.json testdata/tenants.json
-	@echo "hetsmoke: deterministic rows, tenant metrics present, pareq within band"
+	@echo "hetsmoke: deterministic rows, tenant metrics present"
 	@rm -rf $(HETSMOKE_DIR)
-
-# Parallel smoke: run the fig4 matrix partitioned into 4 tick-domains
-# and audit every point's divergence against the sequential loop via
-# the pareq command — the conservative barrier scheme must stay inside
-# the pinned band at the timing-exact default quantum.
-parallelsmoke:
-	$(GO) run ./cmd/accesys pareq -nocache -domains 4 -tol 0.05 testdata/fig4.json
 
 # Short native-fuzz pass: both parsers explore beyond their seed
 # corpora for FUZZTIME each. Crashers land under testdata/fuzz/ in the
@@ -207,7 +197,7 @@ cover:
 equiv:
 	$(GO) run ./cmd/accesys equiv fig2 fig3 fig4 fig5 fig6 tab4 fig7 fig8 fig9
 
-ci: lint vet race examples smoke shardsmoke fleetsmoke servesmoke exploresmoke parallelsmoke hetsmoke fuzz golden bench benchcheck cover
+ci: lint vet race examples smoke shardsmoke fleetsmoke servesmoke exploresmoke hetsmoke fuzz golden bench benchcheck cover
 
 bench:
 	$(GO) test -short -bench=. -benchtime=1x -run '^$$' .
@@ -218,7 +208,7 @@ BENCHFRESH_DIR := .benchfresh
 benchcheck:
 	@rm -rf $(BENCHFRESH_DIR) && mkdir -p $(BENCHFRESH_DIR)
 	BENCH_DIR=$(BENCHFRESH_DIR) $(GO) test -short -run '^$$' \
-		-bench 'SimulatorThroughput|SweepThroughput|ShardMerge|ParallelSpeedup|Explore' \
+		-bench 'SimulatorThroughput|SweepThroughput|ShardMerge|Explore' \
 		-benchtime=1x -count=3 .
 	$(GO) run ./cmd/benchcheck -baseline . -fresh $(BENCHFRESH_DIR) -tol $(BENCH_TOL)
 	@rm -rf $(BENCHFRESH_DIR)

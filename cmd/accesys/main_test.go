@@ -98,6 +98,19 @@ func TestSweepBadManifestFails(t *testing.T) {
 	}
 }
 
+// An oversize DMA burst fails validation naming the axis, before any
+// simulation could panic on it.
+func TestSweepOversizeBurstFails(t *testing.T) {
+	path := writeManifest(t, `{"name": "bad", "workload": {"kind": "gemm", "n": 64}, "axes": [{"axis": "packet_bytes", "values": [8192]}]}`)
+	code, _, errOut := testApp(t, "sweep", "-nocache", path)
+	if code != 2 {
+		t.Fatalf("exit %d, want 2", code)
+	}
+	if !strings.Contains(errOut, `axis "packet_bytes"`) || strings.Contains(errOut, "panic") {
+		t.Fatalf("stderr should name the axis without a panic:\n%s", errOut)
+	}
+}
+
 func TestSweepMissingManifestFileFails(t *testing.T) {
 	if code, _, _ := testApp(t, "sweep", "-nocache", "no/such/file.json"); code != 2 {
 		t.Fatal("missing manifest should exit 2")
@@ -270,7 +283,7 @@ func TestHelpExitsUsage(t *testing.T) {
 	if code != 2 {
 		t.Fatalf("exit %d, want 2", code)
 	}
-	if !strings.Contains(errOut, "run|sweep|equiv|explore|pareq|shard|fleet|serve|cachestats|list") {
+	if !strings.Contains(errOut, "run|sweep|equiv|explore|shard|fleet|serve|cachestats|list") {
 		t.Fatalf("help missing subcommands:\n%s", errOut)
 	}
 }

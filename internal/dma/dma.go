@@ -57,6 +57,19 @@ func (c Config) Resolved() Config {
 	return c
 }
 
+// Validate reports a configuration New cannot build: a negative burst,
+// or a burst larger than the page it must never cross.
+func (c Config) Validate() error {
+	c.setDefaults()
+	if c.BurstBytes < 0 {
+		return fmt.Errorf("burst %d must be positive", c.BurstBytes)
+	}
+	if c.BurstBytes > int(c.PageBytes) {
+		return fmt.Errorf("burst %d exceeds page size %d", c.BurstBytes, c.PageBytes)
+	}
+	return nil
+}
+
 // transfer is one queued descriptor.
 type transfer struct {
 	isWrite bool
@@ -125,10 +138,10 @@ type Engine struct {
 // New builds an Engine; bind Port() to the PCIe endpoint (host path)
 // or to the device memory fabric (DevMem path).
 func New(name string, eq *sim.EventQueue, reg *stats.Registry, cfg Config) *Engine {
-	cfg.setDefaults()
-	if cfg.BurstBytes > int(cfg.PageBytes) {
-		panic(fmt.Sprintf("dma %s: burst %d exceeds page size %d", name, cfg.BurstBytes, cfg.PageBytes))
+	if err := cfg.Validate(); err != nil {
+		panic(fmt.Sprintf("dma %s: %v", name, err))
 	}
+	cfg.setDefaults()
 	e := &Engine{name: name, eq: eq, cfg: cfg}
 	e.port = mem.NewRequestPort(name+".port", e)
 	e.reqQ = mem.NewPacketQueue(name+".reqq", eq, func(p *mem.Packet) bool {

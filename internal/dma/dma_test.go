@@ -159,6 +159,23 @@ func TestOversizeBurstPanics(t *testing.T) {
 	New("dma", eq, reg, Config{BurstBytes: 8192, PageBytes: 4096})
 }
 
+func TestConfigValidate(t *testing.T) {
+	for _, c := range []struct {
+		cfg Config
+		ok  bool
+	}{
+		{Config{}, true},
+		{Config{BurstBytes: 4096}, true},
+		{Config{BurstBytes: 8192}, false},
+		{Config{BurstBytes: 8192, PageBytes: 8192}, true},
+		{Config{BurstBytes: -64}, false},
+	} {
+		if err := c.cfg.Validate(); (err == nil) != c.ok {
+			t.Errorf("Validate(%+v) = %v, want ok=%v", c.cfg, err, c.ok)
+		}
+	}
+}
+
 func TestStats(t *testing.T) {
 	eq, e, _, reg := newEngine(t, Config{BurstBytes: 256})
 	e.Read(0, 0, 1024, nil, nil)

@@ -36,7 +36,6 @@ func sweepScenario(opt Options, id string) (*scenario.Scenario, []scenario.Run, 
 		// a programming error.
 		panic(err)
 	}
-	opt.Apply(runs)
 	return sc, runs, opt.Sweep(sc.Name, sc.Points(runs))
 }
 

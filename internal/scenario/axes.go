@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"accesys/internal/core"
+	"accesys/internal/dma"
 	"accesys/internal/dram"
 	"accesys/internal/pcie"
 	"accesys/internal/sim"
@@ -130,7 +131,18 @@ func obj(v Value, required []string, optional ...string) (map[string]float64, er
 	return out, nil
 }
 
-func numCheck(v Value) error    { _, err := num(v); return err }
+func numCheck(v Value) error { _, err := num(v); return err }
+
+// burstCheck rejects DMA burst sizes the engine cannot run (see
+// dma.Config.Validate), so a bad packet axis fails at parse instead
+// of panicking inside the simulation.
+func burstCheck(v Value) error {
+	f, err := num(v)
+	if err != nil {
+		return err
+	}
+	return dma.Config{BurstBytes: int(f)}.Validate()
+}
 func numLabel(v Value) string   { f, _ := num(v); return fmt.Sprintf("%g", f) }
 func boolCheck(v Value) error   { _, err := boolean(v); return err }
 func stringCheck(v Value) error { _, err := str(v); return err }
@@ -234,7 +246,7 @@ func init() {
 		name:  "packet_bytes",
 		phase: phaseField,
 		doc:   "host-path DMA burst (request packet) size in bytes",
-		check: numCheck,
+		check: burstCheck,
 		apply: func(r *Run, v Value) error {
 			f, _ := num(v)
 			r.Cfg.Accel.HostDMA.BurstBytes = int(f)
@@ -248,7 +260,7 @@ func init() {
 		name:  "dev_packet_bytes",
 		phase: phaseField,
 		doc:   "device-path DMA burst size in bytes",
-		check: numCheck,
+		check: burstCheck,
 		apply: func(r *Run, v Value) error {
 			f, _ := num(v)
 			r.Cfg.Accel.DevDMA.BurstBytes = int(f)

@@ -44,6 +44,8 @@ func FuzzManifestParse(f *testing.F) {
 	f.Add([]byte(`{"name":"badtop","workload":{"kind":"gemm","n":64},"axes":[{"axis":"topology","values":[{"levels":3},{"levels":2},{"fanout":2},"ring"]}]}`))
 	f.Add([]byte(`{"name":"ten","workload":{"kind":"tenants","tenants":[{"n":64,"jobs":2},{"n":{"quick":32,"full":128}}]},"defaults":[{"axis":"accelerators","value":2}]}`))
 	f.Add([]byte(`{"name":"ten1","workload":{"kind":"tenants","tenants":[{"n":64}]}}`))
+	// DMA bursts past the page size must be rejected, not panic later.
+	f.Add([]byte(`{"name":"burst","workload":{"kind":"gemm","n":64},"axes":[{"axis":"dev_packet_bytes","values":[64,8192]}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Parse(data)

@@ -94,6 +94,7 @@ func TestLoadErrors(t *testing.T) {
 	}{
 		{"bad-unknown-axis.json", "unknown axis"},
 		{"bad-empty-axis.json", "empty matrix"},
+		{"bad-oversize-burst.json", `axis "packet_bytes": burst 8192 exceeds page size`},
 	}
 	for _, tc := range cases {
 		_, err := Load(filepath.Join("testdata", tc.file))
@@ -121,6 +122,11 @@ func TestParseErrors(t *testing.T) {
 		{"trailing data", `{"name": "x", "workload": {"kind": "gemm", "n": 64}} {"again": true}`, "trailing data"},
 		{"trailing garbage", `{"name": "x", "workload": {"kind": "gemm", "n": 64}} }`, "trailing data"},
 		{"bad size", `{"name": "x", "workload": {"kind": "gemm", "n": "big"}}`, "cannot unmarshal"},
+		{"oversize dev burst", `{"name": "x", "workload": {"kind": "gemm", "n": 64},
+			"axes": [{"axis": "lanes", "values": [4]}],
+			"defaults": [{"axis": "dev_packet_bytes", "value": 8192}]}`, `defaults "dev_packet_bytes": burst 8192 exceeds page size`},
+		{"negative burst", `{"name": "x", "workload": {"kind": "gemm", "n": 64},
+			"axes": [{"axis": "dev_packet_bytes", "values": [-64]}]}`, `axis "dev_packet_bytes": burst -64 must be positive`},
 	}
 	for _, tc := range cases {
 		_, err := Parse([]byte(tc.data))

@@ -148,7 +148,6 @@ func TestExploreStanzaValidation(t *testing.T) {
 			min, max := 3.0, 2.0
 			e.Constraints = []Constraint{{Axis: "packet_bytes", Min: &min, Max: &max}}
 		}},
-		{"proxy one domain", func(e *ExploreSpec) { e.Proxy = &ProxySpec{Domains: 1} }},
 	}
 	for _, tc := range cases {
 		sc := base()
@@ -156,6 +155,19 @@ func TestExploreStanzaValidation(t *testing.T) {
 		if err := sc.Validate(); err == nil {
 			t.Errorf("%s: validated", tc.name)
 		}
+	}
+
+	// The stanza has no proxy rung: a manifest still declaring one is
+	// rejected at parse, naming the field, while the same manifest
+	// without it parses.
+	const proxied = `{"name": "x", "workload": {"kind": "gemm", "n": 64},
+		"axes": [{"axis": "packet_bytes", "values": [64, 128]}],
+		"explore": {"objective": {"metric": "exec", "goal": "min"}, "proxy": {"domains": 2}}}`
+	if _, err := Parse([]byte(proxied)); err == nil || !strings.Contains(err.Error(), `unknown field "proxy"`) {
+		t.Errorf("explore stanza with proxy: err = %v, want unknown field \"proxy\"", err)
+	}
+	if _, err := Parse([]byte(strings.Replace(proxied, `, "proxy": {"domains": 2}`, "", 1))); err != nil {
+		t.Errorf("explore stanza without proxy rejected: %v", err)
 	}
 
 	// Farm/tenants workloads have no analytic screening model; an

@@ -120,6 +120,11 @@ type Server struct {
 // and quota states deterministic.
 var testHookRunning func(*job)
 
+// testHookPoints, when non-nil, sees each in-process job's sweep points
+// before they run — white-box tests wrap a point's Run to fail inside
+// the sweep engine.
+var testHookPoints func([]sweep.Point)
+
 // New validates the config and starts the runner pool (and the GC
 // ticker when configured). The server accepts submissions until Close.
 func New(cfg Config) (*Server, error) {
@@ -347,14 +352,23 @@ func (s *Server) runJob(j *job) {
 // shared cache, coalescing with every other running job through the
 // server's Flight.
 func (s *Server) runInProcess(j *job) (*scenario.Result, error) {
-	return j.scenario.Run(scenario.Options{
+	runs, err := j.scenario.Expand(j.full)
+	if err != nil {
+		return nil, err
+	}
+	points := j.scenario.Points(runs)
+	if testHookPoints != nil {
+		testHookPoints(points)
+	}
+	opt := scenario.Options{
 		Full:     j.full,
 		Jobs:     s.cfg.Jobs,
 		Cache:    s.cfg.Cache,
 		Profile:  s.cfg.Profile,
 		Flight:   &s.flight,
 		OnResult: j.observe,
-	})
+	}
+	return j.scenario.Render(j.full, runs, opt.Sweep(j.scenario.Name, points))
 }
 
 // runFleet executes the job through the fleet scheduler: the manifest

@@ -176,8 +176,9 @@ func TestSubmitPollRowsLifecycle(t *testing.T) {
 func TestSubmitRejectsBadManifests(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	for name, manifest := range map[string]string{
-		"not json":     "{nope",
-		"unknown axis": `{"name": "x", "workload": {"kind": "gemm", "n": 64}, "axes": [{"axis": "nope", "values": [1]}]}`,
+		"not json":       "{nope",
+		"unknown axis":   `{"name": "x", "workload": {"kind": "gemm", "n": 64}, "axes": [{"axis": "nope", "values": [1]}]}`,
+		"oversize burst": `{"name": "x", "workload": {"kind": "gemm", "n": 64}, "axes": [{"axis": "packet_bytes", "values": [8192]}]}`,
 	} {
 		if code, body, _ := submitManifest(t, ts, manifest, ""); code != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, body %v", name, code, body)
@@ -691,17 +692,33 @@ func TestJobRetentionEvictsOldestTerminal(t *testing.T) {
 	}
 }
 
-func TestPanickingJobFailsWithoutKillingServer(t *testing.T) {
-	// A packet size past the DMA page size panics inside the simulator.
-	// The manifest expands fine, so the submission is accepted; the
-	// runner must contain the panic as a failed job and keep serving.
-	const panicManifest = `{
+// panicManifest is valid at submit; injectPanic makes its one point
+// panic inside the sweep engine, as a simulator fault would.
+const panicManifest = `{
   "name": "boom",
   "title": "panic sweep",
   "base": "pcie8gb",
   "workload": {"kind": "gemm", "n": 64},
-  "axes": [{"axis": "packet_bytes", "values": [8192]}]
+  "axes": [{"axis": "lanes", "values": [4]}]
 }`
+
+// injectPanic makes every point of panicManifest's jobs panic when run
+// and leaves other jobs' points alone.
+func injectPanic(t *testing.T) {
+	testHookPoints = func(points []sweep.Point) {
+		for i := range points {
+			if strings.HasPrefix(points[i].Key, "boom") {
+				points[i].Run = func() sweep.Outcome { panic("injected simulator fault") }
+			}
+		}
+	}
+	t.Cleanup(func() { testHookPoints = nil })
+}
+
+func TestPanickingJobFailsWithoutKillingServer(t *testing.T) {
+	// The runner must contain a panic inside the simulator as a failed
+	// job and keep serving.
+	injectPanic(t)
 	_, ts := newTestServer(t, nil)
 	code, body, _ := submitManifest(t, ts, panicManifest, "")
 	if code != http.StatusAccepted {
@@ -810,15 +827,9 @@ func TestServeFleetExecutor(t *testing.T) {
 // hanging on the flight's done channel or adopting a zero Result as a
 // completed point. The daemon itself must survive both.
 func TestConcurrentOverlapLeaderPanicFailsBothJobs(t *testing.T) {
-	const panicManifest = `{
-  "name": "boom",
-  "title": "panic overlap",
-  "base": "pcie8gb",
-  "workload": {"kind": "gemm", "n": 64},
-  "axes": [{"axis": "packet_bytes", "values": [8192]}]
-}`
 	start := make(chan struct{})
 	arrived := make(chan struct{}, 2)
+	injectPanic(t)
 	testHookRunning = func(j *job) {
 		// Park both jobs at the starting line so their sweeps overlap
 		// on the panicking point.

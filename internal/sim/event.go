@@ -78,15 +78,6 @@ func (q *EventQueue) Now() Tick { return q.now }
 // Len reports the number of pending events.
 func (q *EventQueue) Len() int { return len(q.heap) }
 
-// PeekTick reports the tick of the earliest pending event. The second
-// result is false when the queue is empty.
-func (q *EventQueue) PeekTick() (Tick, bool) {
-	if len(q.heap) == 0 {
-		return 0, false
-	}
-	return q.heap[0].when, true
-}
-
 // NewEvent creates a named, unscheduled event bound to this queue.
 // NewEvent events are owned by the caller and are never recycled.
 func (q *EventQueue) NewEvent(name string, fn func()) *Event {

@@ -154,6 +154,23 @@ func (c *Cache) Counters() (Counters, error) {
 	return t, nil
 }
 
+// Totals reports the lifetime counters: the persisted totals plus this
+// process's unflushed counts. It holds flushMu, so it never observes a
+// concurrent FlushCounters halfway, with the in-memory counts already
+// zeroed but counters.json not yet rewritten (or the reverse), which
+// would drop or double-count the fold. When the persisted totals
+// cannot be read, the in-memory counts are returned with the error.
+func (c *Cache) Totals() (Counters, error) {
+	c.flushMu.Lock()
+	defer c.flushMu.Unlock()
+	t, err := c.Counters()
+	hits, misses, errors := c.Stats()
+	t.Hits += hits
+	t.Misses += misses
+	t.Errors += errors
+	return t, err
+}
+
 // FlushCounters folds this process's hit/miss/error counts into the
 // persisted totals and resets the in-memory counts, so repeated
 // flushes never double-count. The fold is a full read-modify-write

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -280,5 +281,58 @@ func TestCountersSurviveGC(t *testing.T) {
 	}
 	if tot.Hits != 1 {
 		t.Fatalf("counters lost by gc: %+v", tot)
+	}
+}
+
+// Regression for the daemon's /stats undercount: a reader summing the
+// persisted and in-memory counters while FlushCounters folds one into
+// the other must see every count exactly once. Each round flushes a
+// fresh cache holding n misses under concurrently spinning readers;
+// any Totals other than n is a torn read.
+func TestTotalsAtomicAgainstFlush(t *testing.T) {
+	const n, rounds, readers = 5, 100, 2
+	var torn atomic.Int64
+	for r := 0; r < rounds; r++ {
+		c, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			c.Get(Fingerprint("miss", i))
+		}
+		stop := make(chan struct{})
+		var started, done sync.WaitGroup
+		started.Add(readers)
+		done.Add(readers)
+		for i := 0; i < readers; i++ {
+			go func() {
+				defer done.Done()
+				first := true
+				for {
+					tot, err := c.Totals()
+					if err != nil || tot.Misses != n {
+						torn.Add(1)
+					}
+					if first {
+						started.Done()
+						first = false
+					}
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}()
+		}
+		started.Wait()
+		if err := c.FlushCounters(); err != nil {
+			t.Fatal(err)
+		}
+		close(stop)
+		done.Wait()
+	}
+	if got := torn.Load(); got != 0 {
+		t.Fatalf("%d Totals reads during FlushCounters saw other than %d misses", got, n)
 	}
 }
