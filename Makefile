@@ -10,8 +10,6 @@
 #   make smoke    - run a tiny manifest through `accesys sweep`
 #   make shardsmoke - 3-shard fig4 plan -> run -> merge -> verify the
 #                   merged cache warm-hits every row
-#   make fleetsmoke - one-command fleet (2 workers) over the smoke
-#                   manifest, then verify the merged cache is warm
 #   make servesmoke - sweep-as-a-service daemon e2e: a real `accesys
 #                   serve` process on an ephemeral port, driven over
 #                   HTTP (submit -> poll -> rows, then a fully-warm
@@ -37,7 +35,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race examples smoke shardsmoke fleetsmoke servesmoke exploresmoke hetsmoke fuzz golden cover equiv ci bench benchcheck figures clean
+.PHONY: all build vet lint test race examples smoke shardsmoke servesmoke exploresmoke hetsmoke fuzz golden cover equiv ci bench benchcheck figures clean
 
 # Minimum total statement coverage (percent) make cover enforces.
 COVER_FLOOR ?= 75
@@ -99,19 +97,6 @@ shardsmoke:
 		{ echo "shardsmoke: merged cache not fully warm:"; cat $(SHARDSMOKE_DIR)/verify.log; exit 1; }
 	@echo "shardsmoke: merged cache served all 35 rows warm"
 	@rm -rf $(SHARDSMOKE_DIR)
-
-# Fleet smoke: a cold multi-worker sweep as one command, verified by a
-# fully-warm follow-up sweep over the merged cache.
-FLEETSMOKE_DIR := .fleetsmoke
-fleetsmoke:
-	@rm -rf $(FLEETSMOKE_DIR)
-	$(GO) run ./cmd/accesys fleet -workers 2 -out $(FLEETSMOKE_DIR) testdata/smoke.json
-	$(GO) run ./cmd/accesys sweep -cache $(FLEETSMOKE_DIR) -v testdata/smoke.json \
-		> $(FLEETSMOKE_DIR)/rows.txt 2> $(FLEETSMOKE_DIR)/verify.log
-	@grep -q "4 hits, 0 misses" $(FLEETSMOKE_DIR)/verify.log || \
-		{ echo "fleetsmoke: fleet cache not fully warm:"; cat $(FLEETSMOKE_DIR)/verify.log; exit 1; }
-	@echo "fleetsmoke: fleet cache served all 4 rows warm"
-	@rm -rf $(FLEETSMOKE_DIR)
 
 # Serve smoke: the daemon e2e re-execs the test binary as a real
 # `accesys serve` process and drives the submit/poll/rows lifecycle
@@ -197,7 +182,7 @@ cover:
 equiv:
 	$(GO) run ./cmd/accesys equiv fig2 fig3 fig4 fig5 fig6 tab4 fig7 fig8 fig9
 
-ci: lint vet race examples smoke shardsmoke fleetsmoke servesmoke exploresmoke hetsmoke fuzz golden bench benchcheck cover
+ci: lint vet race examples smoke shardsmoke servesmoke exploresmoke hetsmoke fuzz golden bench benchcheck cover
 
 bench:
 	$(GO) test -short -bench=. -benchtime=1x -run '^$$' .

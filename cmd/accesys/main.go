@@ -10,8 +10,7 @@
 //	accesys shard plan [-full] [-profile DIR] -shards N manifest.json
 //	accesys shard run [-full] [-v] [-jobs N] [-plan FILE] -shard k/N -dir DIR manifest.json
 //	accesys shard merge -out DIR sharddir ...
-//	accesys fleet [-full] [-v] [-jobs N] [-workers N | -fleet spec.json] [-out DIR] [-work DIR] manifest.json
-//	accesys serve [-addr host:port] [-cache dir] [-jobs N] [-concurrency N] [-queue N] [-quota N] [-fleet spec.json] [-gcinterval d] [-v]
+//	accesys serve [-addr host:port] [-cache dir] [-jobs N] [-concurrency N] [-queue N] [-quota N] [-retain N] [-gcinterval d] [-v]
 //	accesys cachestats [-cache dir] [-gc] [-maxage d] [-maxentries n]
 //	accesys list
 //
@@ -68,16 +67,8 @@
 // fingerprint collisions with differing payloads, and summing
 // persisted counters. A merged cache warm-hits a subsequent
 // `accesys sweep`/`equiv` byte-identically to a single-process run.
-//
-// fleet is the shard launcher folded into one command: it computes a
-// shard plan weighted by the output cache's wall-time profile
-// (profile.json, fed by every cached sweep), drives `shard run` on N
-// workers concurrently — in-process goroutines (-workers), or the
-// subprocess/ssh-style workers a fleet spec declares (-fleet) —
-// reassigns shards away from failed workers (a killed worker's
-// completed points are served warm to its successor, because shard
-// cache directories survive attempts), and merges everything into the
-// output cache.
+// A shard run into an existing directory resumes: points already in
+// it are served warm, so a failed shard is retried by re-running it.
 //
 // serve runs the sweep-as-a-service daemon: an HTTP/JSON API that
 // accepts manifest submissions (POST /sweeps, async — 202 + job id),
@@ -219,7 +210,7 @@ func (a *app) options(f *sweepFlags) scenario.Options {
 			opt.Cache = cache
 			// The wall-time profile rides along with the cache: every
 			// cached sweep also learns how long its points take, which
-			// later feeds the fleet launcher's weighted partition. A
+			// later feeds `shard plan -profile`'s weighted partition. A
 			// corrupt profile only costs future balancing, but silently
 			// never repairing it would cost it forever.
 			if prof, err := sweep.LoadProfile(cache.Dir()); err == nil {
@@ -532,8 +523,6 @@ func (a *app) main(args []string) int {
 			return a.cmdExplore(args[1:])
 		case "shard":
 			return a.cmdShard(args[1:])
-		case "fleet":
-			return a.cmdFleet(args[1:])
 		case "serve":
 			return a.cmdServe(args[1:])
 		case "cachestats":
@@ -541,7 +530,7 @@ func (a *app) main(args []string) int {
 		case "list":
 			return a.cmdList(args[1:])
 		case "help", "-h", "-help", "--help":
-			fmt.Fprintf(a.stderr, "usage: accesys [run|sweep|equiv|explore|shard|fleet|serve|cachestats|list] ...\n")
+			fmt.Fprintf(a.stderr, "usage: accesys [run|sweep|equiv|explore|shard|serve|cachestats|list] ...\n")
 			fmt.Fprintf(a.stderr, "run 'accesys <command> -h' for command flags; a bare flag list runs `run`\n")
 			return usageErr
 		}

@@ -8,11 +8,52 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// TestMain lets the test binary double as the accesys CLI: the daemon
+// smoke and the shard resume test re-exec this binary as a real
+// `accesys` process. The modes:
+//
+//	"" (unset) - run the tests (the normal invocation)
+//	run        - behave exactly like accesys
+//	die        - behave like accesys but exit 137 after the first
+//	             progress line: a worker killed mid-run, after some
+//	             cache entries have already landed on disk
+func TestMain(m *testing.M) {
+	switch os.Getenv("ACCESYS_WORKER_MODE") {
+	case "":
+		os.Exit(m.Run())
+	case "run":
+		a := &app{stdout: os.Stdout, stderr: os.Stderr}
+		os.Exit(a.main(os.Args[1:]))
+	case "die":
+		a := &app{stdout: os.Stdout, stderr: &dieAfterFirstProgress{}}
+		os.Exit(a.main(os.Args[1:]))
+	default:
+		fmt.Fprintln(os.Stderr, "unknown ACCESYS_WORKER_MODE")
+		os.Exit(2)
+	}
+}
+
+// dieAfterFirstProgress forwards stderr until the first per-point
+// progress line ("... [k/n] key -> dur ...") has been written, then
+// kills the process from inside the sweep — a worker dying mid-shard
+// with a partially filled cache directory (the completed point's entry
+// is persisted before its progress line prints).
+type dieAfterFirstProgress struct{}
+
+func (d *dieAfterFirstProgress) Write(p []byte) (int, error) {
+	n, err := os.Stderr.Write(p)
+	if bytes.Contains(p, []byte("->")) {
+		os.Exit(137)
+	}
+	return n, err
+}
 
 // testApp runs the command in-process and returns (exit code, stdout,
 // stderr).
@@ -108,6 +149,30 @@ func TestSweepOversizeBurstFails(t *testing.T) {
 	}
 	if !strings.Contains(errOut, `axis "packet_bytes"`) || strings.Contains(errOut, "panic") {
 		t.Fatalf("stderr should name the axis without a panic:\n%s", errOut)
+	}
+}
+
+// TestSweepRejectsNegativeComputeTime pins that a negative compute
+// time, which would schedule an event in the past mid-simulation,
+// fails at parse naming the axis, while the zero values that select
+// defaults still sweep. TestParseErrors covers the other unrunnable
+// values.
+func TestSweepRejectsNegativeComputeTime(t *testing.T) {
+	const manifest = `{"name": "bad", "workload": {"kind": "gemm", "n": 32}, "axes": [
+		{"axis": %q, "values": [%s]}, {"axis": "packet_bytes", "values": [64]}]}`
+	path := writeManifest(t, fmt.Sprintf(manifest, "compute_ns", "-5"))
+	code, _, errOut := testApp(t, "sweep", "-nocache", path)
+	if code != 2 {
+		t.Fatalf("exit %d, want 2", code)
+	}
+	if !strings.Contains(errOut, `axis "compute_ns"`) || strings.Contains(errOut, "panic") {
+		t.Fatalf("stderr should name the axis without a panic:\n%s", errOut)
+	}
+	for _, axis := range []string{"lanes", "accelerators"} {
+		path := writeManifest(t, fmt.Sprintf(manifest, axis, "0"))
+		if code, _, errOut := testApp(t, "sweep", "-nocache", path); code != 0 {
+			t.Fatalf("%s 0: exit %d, want the default to sweep:\n%s", axis, code, errOut)
+		}
 	}
 }
 
@@ -283,7 +348,7 @@ func TestHelpExitsUsage(t *testing.T) {
 	if code != 2 {
 		t.Fatalf("exit %d, want 2", code)
 	}
-	if !strings.Contains(errOut, "run|sweep|equiv|explore|shard|fleet|serve|cachestats|list") {
+	if !strings.Contains(errOut, "run|sweep|equiv|explore|shard|serve|cachestats|list") {
 		t.Fatalf("help missing subcommands:\n%s", errOut)
 	}
 }

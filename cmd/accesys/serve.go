@@ -16,7 +16,6 @@ import (
 	"syscall"
 	"time"
 
-	"accesys/internal/fleet"
 	"accesys/internal/serve"
 	"accesys/internal/sweep"
 )
@@ -30,13 +29,12 @@ func (a *app) cmdServe(args []string) int {
 	queue := fs.Int("queue", 0, "max jobs queued but not running before 503 (0 = serve default)")
 	quota := fs.Int("quota", 0, "max unfinished jobs per client before 429 (0 = serve default)")
 	retain := fs.Int("retain", 0, "max finished jobs kept pollable before the oldest are evicted (0 = serve default)")
-	specPath := fs.String("fleet", "", "fleet spec JSON: run jobs through the fleet scheduler instead of in-process")
 	gcInterval := fs.Duration("gcinterval", 0, "periodically GC the cache at this interval (0 = never)")
 	gcMaxAge := fs.Duration("gcmaxage", 30*24*time.Hour, "with -gcinterval: evict entries older than this (0 = no age bound)")
 	gcMaxEntries := fs.Int("gcmaxentries", 0, "with -gcinterval: keep at most this many newest entries (0 = unbounded)")
 	verbose := fs.Bool("v", false, "log job lifecycle and GC diagnostics")
 	fs.Usage = func() {
-		fmt.Fprintf(a.stderr, "usage: accesys serve [-addr host:port] [-cache dir] [-jobs N] [-concurrency N] [-queue N] [-quota N] [-retain N] [-fleet spec.json] [-gcinterval d] [-v]\n")
+		fmt.Fprintf(a.stderr, "usage: accesys serve [-addr host:port] [-cache dir] [-jobs N] [-concurrency N] [-queue N] [-quota N] [-retain N] [-gcinterval d] [-v]\n")
 		fs.PrintDefaults()
 	}
 	if code := parse(fs, args); code >= 0 {
@@ -67,13 +65,6 @@ func (a *app) cmdServe(args []string) int {
 	} else {
 		fmt.Fprintf(a.stderr, "accesys: wall profile disabled: %v\n", err)
 	}
-	if *specPath != "" {
-		spec, err := fleet.LoadSpec(*specPath)
-		if err != nil {
-			return a.errorf("%v", err)
-		}
-		cfg.FleetSpec = spec
-	}
 	if *verbose {
 		cfg.Logf = func(format string, args ...any) {
 			fmt.Fprintf(a.stderr, "accesys: "+format+"\n", args...)
@@ -93,7 +84,7 @@ func (a *app) cmdServe(args []string) int {
 	// bound address off this line.
 	fmt.Fprintf(a.stderr, "accesys: serving on http://%s\n", ln.Addr())
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigs)
@@ -116,4 +107,26 @@ func (a *app) cmdServe(args []string) int {
 	}
 	fmt.Fprintf(a.stderr, "accesys: serve drained\n")
 	return exitOK
+}
+
+// The daemon's HTTP timeouts. Requests are small (a submission body is
+// capped at 1 MiB), so header and body reads that take longer are
+// stalled clients holding a connection. There is deliberately no write
+// timeout: the ndjson progress feed streams for as long as its job
+// runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the daemon's handler in an http.Server with the
+// fixed timeouts above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }

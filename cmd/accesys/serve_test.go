@@ -306,3 +306,21 @@ func TestServeConcurrentOverlapMatchesGolden(t *testing.T) {
 	}
 	serveWait(t, ts.URL, b3["id"].(string))
 }
+
+// TestServeHTTPServerTimeouts pins the daemon's connection timeouts: a
+// client that stalls mid-header or mid-body must not hold a connection
+// forever, while the write side stays unbounded so a long job's ndjson
+// progress feed is never cut off.
+func TestServeHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.ReadTimeout != readTimeout || hs.IdleTimeout != idleTimeout {
+		t.Fatalf("timeouts header=%v read=%v idle=%v, want %v/%v/%v",
+			hs.ReadHeaderTimeout, hs.ReadTimeout, hs.IdleTimeout, readHeaderTimeout, readTimeout, idleTimeout)
+	}
+	if readHeaderTimeout <= 0 || readTimeout <= 0 || idleTimeout <= 0 {
+		t.Fatal("every read-side timeout must be a positive bound")
+	}
+	if hs.WriteTimeout != 0 {
+		t.Fatalf("WriteTimeout = %v, want 0: the progress feed is long-lived", hs.WriteTimeout)
+	}
+}

@@ -224,7 +224,7 @@ func (a *app) cmdShardMerge(args []string) int {
 	if st.AlreadyMerged > 0 {
 		already = fmt.Sprintf(" (%d shards already merged, accounting unchanged)", st.AlreadyMerged)
 	}
-	fmt.Fprintf(a.stdout, "merged %d shards into %s: %d points, %d entries imported, %d duplicates, %d corrupt skipped; counters: %d hits, %d misses, %d errors; fleet wall %.1fs%s\n",
+	fmt.Fprintf(a.stdout, "merged %d shards into %s: %d points, %d entries imported, %d duplicates, %d corrupt skipped; counters: %d hits, %d misses, %d errors; worker wall %.1fs%s\n",
 		st.Shards, *out, st.Points, st.Imported, st.Duplicates, st.Corrupt,
 		st.Counters.Hits, st.Counters.Misses, st.Counters.Errors,
 		time.Duration(st.WallNs).Seconds(), already)

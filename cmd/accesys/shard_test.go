@@ -4,12 +4,15 @@ package main
 // and usage errors, plan JSON, the plan -> run -> merge -> warm-sweep
 // round trip on a small manifest (and, under -race, with two workers
 // running concurrently), and the full fig4 acceptance path against
-// the committed golden rows.
+// the committed golden rows, once straight through and once with a
+// shard worker killed mid-run and retried into the same directory.
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -223,7 +226,7 @@ func TestShardConcurrentWorkers(t *testing.T) {
 func TestShardWeightedPlanRoundTripViaCLI(t *testing.T) {
 	// Warm a cache (which also warms its wall-time profile), compute a
 	// weighted plan from it, and run both shards from the serialized
-	// plan file — the same path the fleet launcher drives.
+	// plan file — the path `shard plan -profile` users drive.
 	manifest := writeManifest(t, quadManifest)
 	root := t.TempDir()
 	cacheDir := filepath.Join(root, "cache")
@@ -355,5 +358,86 @@ func TestShardFig4RoundTripMatchesGolden(t *testing.T) {
 	// about title, header, and data rows.
 	if got, want := stripNotes(rows), stripNotes(string(golden)); got != want {
 		t.Fatalf("merged-cache rows differ from golden fig4 rows:\n--- got\n%s\n--- want\n%s", got, want)
+	}
+}
+
+// shardRunProcess runs `accesys shard run -v` for slice k/n as a real
+// subprocess (this test binary, re-exec'd in the given
+// ACCESYS_WORKER_MODE) and returns its exit code, stdout and stderr.
+func shardRunProcess(t *testing.T, mode, manifest, dir string, k, n int) (int, string, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "shard", "run", "-v", "-shard", fmt.Sprintf("%d/%d", k, n), "-dir", dir, manifest)
+	cmd.Env = append(os.Environ(), "ACCESYS_WORKER_MODE="+mode)
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+		return 0, stdout.String(), stderr.String()
+	case errors.As(err, &exit):
+		return exit.ExitCode(), stdout.String(), stderr.String()
+	}
+	t.Fatalf("starting shard run %d/%d: %v", k, n, err)
+	return -1, "", ""
+}
+
+func TestShardRunResumesAfterKilledWorker(t *testing.T) {
+	// Retrying a failed shard is re-running it into the same
+	// directory: a worker killed after its first completed point leaves
+	// that point's entry on disk, the retry serves it warm and simulates
+	// only the rest, and the merged cache still serves rows
+	// byte-identical to the committed golden rows.
+	if testing.Short() {
+		t.Skip("re-simulates all of fig4; skipped in -short")
+	}
+	if raceEnabled {
+		t.Skip("re-simulates all of fig4 under -race for minutes without adding race coverage")
+	}
+	const manifest = "../../testdata/fig4.json"
+	root := t.TempDir()
+	dirs := []string{filepath.Join(root, "s0"), filepath.Join(root, "s1"), filepath.Join(root, "s2")}
+
+	code, out, errOut := shardRunProcess(t, "die", manifest, dirs[1], 1, 3)
+	if code != 137 {
+		t.Fatalf("dying worker exit %d, want 137:\n%s%s", code, out, errOut)
+	}
+	code, out, errOut = shardRunProcess(t, "run", manifest, dirs[1], 1, 3)
+	if code != 0 {
+		t.Fatalf("retried shard exit %d:\n%s%s", code, out, errOut)
+	}
+	var points, cold, warm int
+	if _, err := fmt.Sscanf(out, "shard 1/3 of fig4: %d points (%d cold, %d warm)", &points, &cold, &warm); err != nil {
+		t.Fatalf("retried shard summary unreadable (%v):\n%s", err, out)
+	}
+	if warm < 1 || cold < 1 {
+		t.Fatalf("retry served %d warm and %d cold of %d points; want the killed worker's points warm and the rest cold:\n%s", warm, cold, points, out)
+	}
+	if n := strings.Count(errOut, "(cached)"); n != warm {
+		t.Fatalf("retry printed %d cached progress lines for %d warm points:\n%s", n, warm, errOut)
+	}
+
+	for _, k := range []int{0, 2} {
+		if !runShardCLI(t, manifest, dirs[k], k, 3) {
+			return
+		}
+	}
+	merged := filepath.Join(root, "merged")
+	if code, out, errOut := testApp(t, append([]string{"shard", "merge", "-out", merged}, dirs...)...); code != 0 {
+		t.Fatalf("merge exit %d:\n%s%s", code, out, errOut)
+	}
+	code, rows, errOut := testApp(t, "sweep", "-cache", merged, "-v", manifest)
+	if code != 0 {
+		t.Fatalf("warm sweep exit %d:\n%s", code, errOut)
+	}
+	if !strings.Contains(errOut, "35 hits, 0 misses") {
+		t.Fatalf("merged fig4 cache not fully warm:\n%s", errOut)
+	}
+	golden, err := os.ReadFile("../../testdata/golden/fig4.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := stripNotes(rows), stripNotes(string(golden)); got != want {
+		t.Fatalf("resumed-shard rows differ from golden fig4 rows:\n--- got\n%s\n--- want\n%s", got, want)
 	}
 }

@@ -12,6 +12,7 @@ package pcie
 
 import (
 	"fmt"
+	"math"
 
 	"accesys/internal/mem"
 	"accesys/internal/sim"
@@ -23,6 +24,18 @@ type LinkConfig struct {
 	LaneGbps float64
 	// PropDelay is the flight latency of the wire (default 5 ns).
 	PropDelay sim.Tick
+}
+
+// Validate reports a link the fabric cannot run: it needs at least one
+// lane and a positive, finite per-lane rate.
+func (l LinkConfig) Validate() error {
+	if l.Lanes < 1 {
+		return fmt.Errorf("link needs at least one lane, have %d", l.Lanes)
+	}
+	if !(l.LaneGbps > 0) || math.IsInf(l.LaneGbps, 1) {
+		return fmt.Errorf("link needs a positive finite lane rate, have %g Gbps", l.LaneGbps)
+	}
+	return nil
 }
 
 // EncodingEfficiency returns the line-coding efficiency: 8b/10b for

@@ -366,3 +366,20 @@ func BenchmarkFabricStream(b *testing.B) {
 		b.ReportMetric(float64(eq.Executed), "events")
 	}
 }
+
+func TestLinkConfigValidate(t *testing.T) {
+	if err := (LinkConfig{Lanes: 4, LaneGbps: 4}).Validate(); err != nil {
+		t.Fatalf("Table II link rejected: %v", err)
+	}
+	for _, l := range []LinkConfig{
+		{Lanes: 0, LaneGbps: 4},
+		{Lanes: -4, LaneGbps: 4},
+		{Lanes: 4, LaneGbps: 0},
+		{Lanes: 4, LaneGbps: -8},
+		LinkForGBps(8, 0), // +Inf per-lane rate
+	} {
+		if err := l.Validate(); err == nil {
+			t.Errorf("%+v accepted", l)
+		}
+	}
+}

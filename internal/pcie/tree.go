@@ -159,8 +159,8 @@ type Tree struct {
 // each endpoint claims its address ranges for downstream routing.
 func NewTree(name string, eq *sim.EventQueue, reg *stats.Registry, cfg Config, epRanges ...[]mem.AddrRange) *Tree {
 	cfg.setDefaults()
-	if cfg.Link.Lanes <= 0 || cfg.Link.LaneGbps <= 0 {
-		panic(fmt.Sprintf("pcie: %s: link needs lanes and rate", name))
+	if err := cfg.Link.Validate(); err != nil {
+		panic(fmt.Sprintf("pcie: %s: %v", name, err))
 	}
 	if len(epRanges) == 0 {
 		panic(fmt.Sprintf("pcie: %s: at least one endpoint required", name))

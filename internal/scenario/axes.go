@@ -143,6 +143,30 @@ func burstCheck(v Value) error {
 	}
 	return dma.Config{BurstBytes: int(f)}.Validate()
 }
+
+// nonNegCheck rejects negative values of an axis whose zero selects
+// the model default and whose negatives mean nothing.
+func nonNegCheck(v Value) error {
+	f, err := num(v)
+	if err != nil {
+		return err
+	}
+	if f < 0 {
+		return fmt.Errorf("%g must not be negative", f)
+	}
+	return nil
+}
+
+// linkCheck rejects a link axis value the fabric cannot run (see
+// pcie.LinkConfig.Validate), so a bad link fails at parse instead of
+// panicking inside the simulation. set applies the value to the Table
+// II default link.
+func linkCheck(set func(*pcie.LinkConfig)) error {
+	l := core.Config{}.Resolved().PCIe.Link
+	set(&l)
+	return l.Validate()
+}
+
 func numLabel(v Value) string   { f, _ := num(v); return fmt.Sprintf("%g", f) }
 func boolCheck(v Value) error   { _, err := boolean(v); return err }
 func stringCheck(v Value) error { _, err := str(v); return err }
@@ -198,8 +222,11 @@ func init() {
 		phase: phaseField,
 		doc:   "PCIe link by total raw bandwidth: {gbps, lanes}",
 		check: func(v Value) error {
-			_, err := obj(v, []string{"gbps", "lanes"})
-			return err
+			m, err := obj(v, []string{"gbps", "lanes"})
+			if err != nil {
+				return err
+			}
+			return pcie.LinkForGBps(m["gbps"], int(m["lanes"])).Validate()
 		},
 		apply: func(r *Run, v Value) error {
 			m, err := obj(v, []string{"gbps", "lanes"})
@@ -218,8 +245,17 @@ func init() {
 	register(&axisDef{
 		name:  "lanes",
 		phase: phaseField,
-		doc:   "PCIe lane count (keeps the per-lane rate)",
-		check: numCheck,
+		doc:   "PCIe lane count (keeps the per-lane rate; 0 = default link)",
+		check: func(v Value) error {
+			f, err := num(v)
+			if err != nil {
+				return err
+			}
+			if int(f) == 0 {
+				return nil // zero lanes selects the default link
+			}
+			return linkCheck(func(l *pcie.LinkConfig) { l.Lanes = int(f) })
+		},
 		apply: func(r *Run, v Value) error {
 			f, _ := num(v)
 			r.Cfg.PCIe.Link.Lanes = int(f)
@@ -232,7 +268,13 @@ func init() {
 		name:  "lane_gbps",
 		phase: phaseField,
 		doc:   "per-lane signalling rate in Gbps",
-		check: numCheck,
+		check: func(v Value) error {
+			f, err := num(v)
+			if err != nil {
+				return err
+			}
+			return linkCheck(func(l *pcie.LinkConfig) { l.LaneGbps = f })
+		},
 		apply: func(r *Run, v Value) error {
 			f, _ := num(v)
 			r.Cfg.PCIe.Link.LaneGbps = f
@@ -274,7 +316,7 @@ func init() {
 		name:  "compute_ns",
 		phase: phaseField,
 		doc:   "per-tile compute time override in nanoseconds (0 = model)",
-		check: numCheck,
+		check: nonNegCheck,
 		apply: func(r *Run, v Value) error {
 			f, _ := num(v)
 			r.Cfg.Accel.ComputeOverride = sim.Tick(f) * sim.Nanosecond
@@ -453,8 +495,8 @@ func init() {
 	register(&axisDef{
 		name:  "accelerators",
 		phase: phaseField,
-		doc:   "accelerator cluster size (endpoints sharing the switch)",
-		check: numCheck,
+		doc:   "accelerator cluster size (endpoints sharing the switch; 0 = one)",
+		check: nonNegCheck,
 		apply: func(r *Run, v Value) error {
 			f, _ := num(v)
 			r.Cfg.Accelerators = int(f)

@@ -127,6 +127,20 @@ func TestParseErrors(t *testing.T) {
 			"defaults": [{"axis": "dev_packet_bytes", "value": 8192}]}`, `defaults "dev_packet_bytes": burst 8192 exceeds page size`},
 		{"negative burst", `{"name": "x", "workload": {"kind": "gemm", "n": 64},
 			"axes": [{"axis": "dev_packet_bytes", "values": [-64]}]}`, `axis "dev_packet_bytes": burst -64 must be positive`},
+		// Axis values that would panic inside the simulation if they
+		// passed parse (an event scheduled in the past, an unrunnable
+		// link, an unencodable fingerprint, a switch with no endpoints).
+		{"negative compute", axisManifest("compute_ns", "-5"), `axis "compute_ns": -5 must not be negative`},
+		{"negative lanes", axisManifest("lanes", "-4"), `axis "lanes": link needs at least one lane`},
+		{"zero lane rate", axisManifest("lane_gbps", "0"), `axis "lane_gbps": link needs a positive finite lane rate`},
+		{"negative lane rate", axisManifest("lane_gbps", "-8"), `axis "lane_gbps": link needs a positive finite lane rate`},
+		{"zero link bandwidth", axisManifest("link", `{"gbps": 0, "lanes": 8}`), `axis "link": link needs a positive finite lane rate`},
+		{"negative link bandwidth", axisManifest("link", `{"gbps": -8, "lanes": 8}`), `axis "link": link needs a positive finite lane rate`},
+		{"laneless link", axisManifest("link", `{"gbps": 8, "lanes": 0}`), `axis "link": link needs at least one lane`},
+		{"negative accelerators", axisManifest("accelerators", "-1"), `axis "accelerators": -1 must not be negative`},
+		{"negative lanes default", `{"name": "x", "workload": {"kind": "gemm", "n": 32},
+			"axes": [{"axis": "packet_bytes", "values": [64]}],
+			"defaults": [{"axis": "lanes", "value": -4}]}`, `defaults "lanes": link needs at least one lane`},
 	}
 	for _, tc := range cases {
 		_, err := Parse([]byte(tc.data))
@@ -138,6 +152,14 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// axisManifest is a one-axis GEMM-32 manifest sweeping axis over the
+// single JSON value v, plus a packet-size axis.
+func axisManifest(axis, v string) string {
+	return `{"name": "x", "workload": {"kind": "gemm", "n": 32}, "axes": [
+		{"axis": "` + axis + `", "values": [` + v + `]},
+		{"axis": "packet_bytes", "values": [64]}]}`
 }
 
 // TestManifestJSONRoundTrip re-encodes a loaded manifest and loads it

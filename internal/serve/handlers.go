@@ -112,7 +112,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	j, serr := s.submit(clientID(r), sc, body, full, len(runs))
+	j, serr := s.submit(clientID(r), sc, full, len(runs))
 	if serr != nil {
 		if serr.retryAfter > 0 {
 			w.Header().Set("Retry-After", strconv.Itoa(serr.retryAfter))

@@ -25,7 +25,6 @@ type job struct {
 	id       string
 	client   string
 	scenario *scenario.Scenario
-	manifest []byte
 	full     bool
 
 	mu        sync.Mutex

@@ -11,14 +11,10 @@
 package serve
 
 import (
-	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
-	"accesys/internal/fleet"
 	"accesys/internal/scenario"
 	"accesys/internal/sweep"
 )
@@ -30,7 +26,8 @@ type Config struct {
 	Cache *sweep.Cache
 	// Profile, when non-nil, records per-point wall times across jobs
 	// and is flushed after every job, so the daemon keeps improving the
-	// fleet partitioner's schedule while it serves.
+	// weighted shard partitioner's schedule (`shard plan -profile`)
+	// while it serves.
 	Profile *sweep.Profile
 	// Jobs bounds each running job's sweep worker pool (0 = one per
 	// CPU).
@@ -49,14 +46,6 @@ type Config struct {
 	// and all, so a long-lived daemon's job table doesn't grow without
 	// bound. Unfinished jobs are never evicted.
 	JobRetention int
-	// FleetSpec, when non-nil, runs each job through the fleet
-	// scheduler (fleet.Launch) instead of the in-process executor; the
-	// shard caches merge into Cache's directory, so later jobs still
-	// warm-hit earlier fleet work.
-	FleetSpec *fleet.Spec
-	// WorkDir holds per-job fleet work directories and spooled
-	// manifests (default: <cache dir>/serve).
-	WorkDir string
 	// GCInterval, when positive, runs Cache.GC(GCMaxAge, GCMaxEntries)
 	// periodically while the server is open.
 	GCInterval   time.Duration
@@ -130,12 +119,6 @@ var testHookPoints func([]sweep.Point)
 func New(cfg Config) (*Server, error) {
 	if cfg.Cache == nil {
 		return nil, fmt.Errorf("serve: config needs a cache")
-	}
-	if cfg.WorkDir == "" {
-		cfg.WorkDir = filepath.Join(cfg.Cache.Dir(), "serve")
-	}
-	if err := os.MkdirAll(cfg.WorkDir, 0o755); err != nil {
-		return nil, err
 	}
 	s := &Server{
 		cfg:      cfg,
@@ -212,7 +195,7 @@ func (s *Server) flushState() error {
 // registered in jobs/order/byClient only after its enqueue succeeds,
 // so a queue-full rejection has nothing to roll back — no window where
 // a concurrent submit's registration could be clobbered.
-func (s *Server) submit(client string, sc *scenario.Scenario, manifest []byte, full bool, total int) (*job, *submitError) {
+func (s *Server) submit(client string, sc *scenario.Scenario, full bool, total int) (*job, *submitError) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -226,7 +209,6 @@ func (s *Server) submit(client string, sc *scenario.Scenario, manifest []byte, f
 		id:        fmt.Sprintf("j%d", s.nextID),
 		client:    client,
 		scenario:  sc,
-		manifest:  manifest,
 		full:      full,
 		state:     stateQueued,
 		total:     total,
@@ -272,7 +254,7 @@ func (s *Server) finish(j *job, err error) {
 }
 
 // evictLocked enforces JobRetention: when terminal jobs exceed the
-// cap, the oldest are dropped from jobs/order — and their manifests
+// cap, the oldest are dropped from jobs/order — and their scenarios
 // and rendered results with them — so a long-lived daemon's job table
 // stays bounded. Unfinished jobs are never evicted. The caller holds
 // s.mu; taking j.mu inside it is safe because no path acquires s.mu
@@ -335,10 +317,7 @@ func (s *Server) runJob(j *job) {
 				res, err = nil, fmt.Errorf("job panicked: %v", r)
 			}
 		}()
-		if s.cfg.FleetSpec != nil {
-			return s.runFleet(j)
-		}
-		return s.runInProcess(j)
+		return s.run(j)
 	}()
 	if err == nil {
 		j.mu.Lock()
@@ -348,10 +327,9 @@ func (s *Server) runJob(j *job) {
 	s.finish(j, err)
 }
 
-// runInProcess is the default executor: the job sweeps directly on the
-// shared cache, coalescing with every other running job through the
-// server's Flight.
-func (s *Server) runInProcess(j *job) (*scenario.Result, error) {
+// run sweeps the job directly on the shared cache, coalescing with
+// every other running job through the server's Flight.
+func (s *Server) run(j *job) (*scenario.Result, error) {
 	runs, err := j.scenario.Expand(j.full)
 	if err != nil {
 		return nil, err
@@ -369,68 +347,6 @@ func (s *Server) runInProcess(j *job) (*scenario.Result, error) {
 		OnResult: j.observe,
 	}
 	return j.scenario.Render(j.full, runs, opt.Sweep(j.scenario.Name, points))
-}
-
-// runFleet executes the job through the fleet scheduler: the manifest
-// spools to the job's work directory (subprocess and command workers
-// load it from disk), the shard caches merge into the shared cache,
-// and a warm collection sweep renders the rows. Progress is
-// shard-grained: counters land when the fleet report does.
-func (s *Server) runFleet(j *job) (*scenario.Result, error) {
-	dir := filepath.Join(s.cfg.WorkDir, j.id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	manifestPath := filepath.Join(dir, "manifest.json")
-	if err := os.WriteFile(manifestPath, j.manifest, 0o644); err != nil {
-		return nil, err
-	}
-	points, err := j.scenario.PointsFor(j.full)
-	if err != nil {
-		return nil, err
-	}
-	rep, _, err := fleet.Launch(context.Background(), fleet.LaunchOptions{
-		Name:     j.scenario.Name,
-		Full:     j.full,
-		Points:   points,
-		Manifest: manifestPath,
-		Spec:     s.cfg.FleetSpec,
-		OutDir:   s.cfg.Cache.Dir(),
-		WorkDir:  dir,
-		Jobs:     s.cfg.Jobs,
-		Warnf:    func(format string, args ...any) { s.logf("serve: %s: "+format, append([]any{j.id}, args...)...) },
-	})
-	if err != nil {
-		return nil, err
-	}
-	j.mu.Lock()
-	for _, sr := range rep.Shards {
-		j.cold += sr.Cold
-		j.warm += sr.Warm
-	}
-	j.mu.Unlock()
-	j.publish()
-	// Collection pass: every point is now merged into the shared cache,
-	// so this sweep serves warm and renders byte-identically to a
-	// single-process run. It counts toward completed, not cold/warm —
-	// the fleet report already accounted for the simulations.
-	runs, err := j.scenario.Expand(j.full)
-	if err != nil {
-		return nil, err
-	}
-	opts := scenario.Options{
-		Full:  j.full,
-		Jobs:  s.cfg.Jobs,
-		Cache: s.cfg.Cache,
-		OnResult: func(r sweep.Result) {
-			j.mu.Lock()
-			j.completed++
-			j.mu.Unlock()
-			j.publish()
-		},
-	}
-	outs := opts.Sweep(j.scenario.Name, j.scenario.Points(runs))
-	return j.scenario.Render(j.full, runs, outs)
 }
 
 // gcLoop ages the shared cache periodically until Close.

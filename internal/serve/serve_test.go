@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"accesys/internal/fleet"
 	"accesys/internal/scenario"
 	"accesys/internal/sweep"
 )
@@ -179,6 +178,7 @@ func TestSubmitRejectsBadManifests(t *testing.T) {
 		"not json":       "{nope",
 		"unknown axis":   `{"name": "x", "workload": {"kind": "gemm", "n": 64}, "axes": [{"axis": "nope", "values": [1]}]}`,
 		"oversize burst": `{"name": "x", "workload": {"kind": "gemm", "n": 64}, "axes": [{"axis": "packet_bytes", "values": [8192]}]}`,
+		"laneless link":  `{"name": "x", "workload": {"kind": "gemm", "n": 32}, "axes": [{"axis": "link", "values": [{"gbps": 8, "lanes": 0}]}]}`,
 	} {
 		if code, body, _ := submitManifest(t, ts, manifest, ""); code != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, body %v", name, code, body)
@@ -558,7 +558,7 @@ func TestSubmitQueueFullRegistryInvariant(t *testing.T) {
 			for k := 0; time.Now().Before(deadline); k++ {
 				// Fresh client per attempt keeps quota out of the way:
 				// every submission reaches the queue send.
-				s.submit(fmt.Sprintf("g%d-%d", g, k), sc, []byte(miniManifest), false, len(runs))
+				s.submit(fmt.Sprintf("g%d-%d", g, k), sc, false, len(runs))
 			}
 		}(g)
 	}
@@ -617,7 +617,7 @@ func TestSubmitCloseRace(t *testing.T) {
 				for k := 0; ; k++ {
 					// Fresh client every attempt so quota never rejects
 					// before the send path is reached.
-					_, serr := s.submit(fmt.Sprintf("c%d-%d", g, k), sc, []byte(miniManifest), false, len(runs))
+					_, serr := s.submit(fmt.Sprintf("c%d-%d", g, k), sc, false, len(runs))
 					if serr == errServerClosed {
 						return
 					}
@@ -793,30 +793,6 @@ func TestRowsBeforeDoneConflicts(t *testing.T) {
 	}
 	releaseAll()
 	waitDone(t, ts, id)
-}
-
-func TestServeFleetExecutor(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fleet-backed serve is not short")
-	}
-	_, ts := newTestServer(t, func(c *Config) {
-		c.FleetSpec = fleet.LocalSpec(2)
-	})
-	_, body, _ := submitManifest(t, ts, miniManifest, "")
-	st := waitDone(t, ts, body["id"].(string))
-	if st.State != stateDone {
-		t.Fatalf("fleet job failed: %s", st.Error)
-	}
-	if st.Cold != 2 {
-		t.Fatalf("fleet job cold = %d, want 2", st.Cold)
-	}
-	var rows rowsPayload
-	if code := getJSON(t, ts.URL+"/sweeps/"+st.ID+"/rows", &rows); code != http.StatusOK {
-		t.Fatalf("rows status %d", code)
-	}
-	if len(rows.Rows) != 2 {
-		t.Fatalf("fleet rows %+v", rows)
-	}
 }
 
 // TestConcurrentOverlapLeaderPanicFailsBothJobs races the in-flight

@@ -3,7 +3,7 @@ package shard
 // Native fuzz target for the plan parser: whatever bytes arrive from a
 // scheduler or a corrupted work directory, ParsePlan must never panic,
 // and any plan it accepts must round-trip Parse -> Marshal -> Parse
-// with byte-stable output — the contract the fleet launcher and
+// with byte-stable output — the contract `shard plan` and
 // `shard run -plan` rely on. Seeded from real `shard plan` output
 // (rendezvous and weighted). Run `make fuzz` for a short exploration;
 // plain `go test` replays the seed corpus.

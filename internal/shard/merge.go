@@ -40,8 +40,8 @@ type MergeStats struct {
 	// Counters are the summed source counters folded into the
 	// destination's persisted totals.
 	Counters sweep.Counters `json:"counters"`
-	// WallNs sums the source workers' wall times — the fleet's total
-	// compute, as opposed to its makespan.
+	// WallNs sums the source workers' wall times — their total
+	// compute, as opposed to the makespan.
 	WallNs int64 `json:"wall_ns"`
 }
 

@@ -1,9 +1,9 @@
 package shard
 
-// Plan serialization: the wire format between `shard plan`, the fleet
-// launcher, and `shard run -plan`. A weighted plan depends on the
-// profile state of the machine that computed it, so unlike the pure
-// rendezvous partition it cannot be recomputed identically elsewhere —
+// Plan serialization: the wire format between `shard plan` and
+// `shard run -plan`. A weighted plan depends on the profile state of
+// the machine that computed it, so unlike the pure rendezvous
+// partition it cannot be recomputed identically elsewhere —
 // workers must run the serialized plan, and ParsePlan must therefore
 // reject anything structurally inconsistent before a worker trusts it.
 

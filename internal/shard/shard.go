@@ -104,7 +104,7 @@ type Plan struct {
 // Partition assigns every point to one of n shards by
 // rendezvous-hashing its fingerprint. Points sharing a fingerprint
 // (e.g. ViT scenarios keyed by physical config) land on the same
-// shard, so no result is simulated twice across the fleet. Points
+// shard, so no result is simulated twice across the workers. Points
 // must all carry fingerprints — an uncacheable point has no location
 // to merge from.
 func Partition(scenarioName string, full bool, points []sweep.Point, n int) (*Plan, error) {

@@ -1,7 +1,7 @@
 package shard
 
 // The weighted partitioner: when a wall-time profile knows how long
-// points actually take, balancing by point count wastes fleet time —
+// points actually take, balancing by point count wastes worker time —
 // one shard full of 2048-size GEMMs finishes long after a shard of
 // small ones. PartitionWeighted schedules profiled points greedily
 // onto the least-loaded shard in longest-processing-time order (LPT,

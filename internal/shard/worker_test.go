@@ -82,7 +82,7 @@ func TestWorkerRunsExactlyItsSlice(t *testing.T) {
 	total := 0
 	ran.Range(func(_, _ any) bool { total++; return true })
 	if total != 12 {
-		t.Fatalf("%d of 12 points executed across the fleet", total)
+		t.Fatalf("%d of 12 points executed across the shards", total)
 	}
 }
 
@@ -178,7 +178,7 @@ func TestMergeFoldsShardsIntoWarmCache(t *testing.T) {
 func TestMergeIsIdempotent(t *testing.T) {
 	// A retried merge of the same shard state must not re-import
 	// entries NOR re-fold accounting: the destination's persisted
-	// counters stay at one fleet's worth of work.
+	// counters stay at one sweep's worth of work.
 	pts := fakePoints(6, nil)
 	plan := mustPartition(t, pts, 2)
 	dirs := runShards(t, plan, pts)

@@ -4,8 +4,8 @@ package sweep
 // cold point takes to simulate, and a Profile persists an EWMA of
 // those walls (profile.json, alongside the cache's counters.json) so
 // later runs can predict point costs they have not yet paid. The
-// weighted shard partitioner consumes these predictions to balance a
-// fleet by measured wall time instead of point count.
+// weighted shard partitioner consumes these predictions to balance
+// shards by measured wall time instead of point count.
 //
 // Profiles are keyed by the Digest of the raw (unsalted) fingerprint:
 // a point's cost is a property of its configuration, not of the
@@ -126,7 +126,7 @@ func (p *Profile) ObserveDigest(digest string, wall time.Duration) {
 // fold applies the EWMA update for one digest. Non-positive walls are
 // dropped here too, not just in ObserveDigest: Fold replays whole
 // source profiles (shard merges, hand-edited files), and a zero or
-// negative estimate sneaking in would poison both fleet scheduling
+// negative estimate sneaking in would poison both weighted shard plans
 // and explore's cost model.
 func (p *Profile) fold(digest string, ns int64) {
 	if ns <= 0 {

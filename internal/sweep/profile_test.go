@@ -226,7 +226,7 @@ func TestEngineCacheHitDoesNotProfile(t *testing.T) {
 // TestProfileRejectsNonPositiveWalls pins the satellite bugfix: zero
 // and negative observations (fake clocks, clock skew) must not enter
 // the EWMA — neither through Observe nor through fold/Fold — because
-// both fleet scheduling and explore's cost model read these
+// both weighted shard plans and explore's cost model read these
 // estimates.
 func TestProfileRejectsNonPositiveWalls(t *testing.T) {
 	p, err := LoadProfile(t.TempDir())
