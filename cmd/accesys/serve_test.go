@@ -307,20 +307,68 @@ func TestServeConcurrentOverlapMatchesGolden(t *testing.T) {
 	serveWait(t, ts.URL, b3["id"].(string))
 }
 
-// TestServeHTTPServerTimeouts pins the daemon's connection timeouts: a
-// client that stalls mid-header or mid-body must not hold a connection
-// forever, while the write side stays unbounded so a long job's ndjson
-// progress feed is never cut off.
-func TestServeHTTPServerTimeouts(t *testing.T) {
-	hs := newHTTPServer(http.NotFoundHandler())
-	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.ReadTimeout != readTimeout || hs.IdleTimeout != idleTimeout {
-		t.Fatalf("timeouts header=%v read=%v idle=%v, want %v/%v/%v",
-			hs.ReadHeaderTimeout, hs.ReadTimeout, hs.IdleTimeout, readHeaderTimeout, readTimeout, idleTimeout)
+// slowFeedManifest is a two-point sweep whose cold run takes a few
+// hundred milliseconds per point, long enough to outlast a lowered read
+// timeout.
+const slowFeedManifest = `{
+  "name": "slowfeed",
+  "base": "pcie8gb",
+  "workload": {"kind": "gemm", "n": 512},
+  "axes": [{"axis": "packet_bytes", "values": [64, 128]}],
+  "metrics": ["accel"]
+}`
+
+// TestServeEventsOutlastReadTimeout checks the daemon's connection
+// timeouts against the ndjson progress feed. The read-side timeouts
+// must be set, so a client that stalls mid-header or mid-body cannot
+// hold a connection forever, and there is no write timeout. A job's
+// event stream must still run past ReadTimeout to its terminal
+// snapshot: the test lowers ReadTimeout below the job's run time.
+func TestServeEventsOutlastReadTimeout(t *testing.T) {
+	cache, err := sweep.OpenSalted(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if readHeaderTimeout <= 0 || readTimeout <= 0 || idleTimeout <= 0 {
-		t.Fatal("every read-side timeout must be a positive bound")
+	srv, err := serve.New(serve.Config{Cache: cache, Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := newHTTPServer(srv.Handler())
+	if hs.ReadHeaderTimeout <= 0 || hs.ReadTimeout <= 0 || hs.IdleTimeout <= 0 {
+		t.Fatalf("timeouts header=%v read=%v idle=%v, want every read-side timeout positive",
+			hs.ReadHeaderTimeout, hs.ReadTimeout, hs.IdleTimeout)
 	}
 	if hs.WriteTimeout != 0 {
 		t.Fatalf("WriteTimeout = %v, want 0: the progress feed is long-lived", hs.WriteTimeout)
+	}
+	const lowered = 100 * time.Millisecond
+	hs.ReadTimeout = lowered
+	ts := httptest.NewUnstartedServer(nil)
+	ts.Config = hs
+	ts.Start()
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+
+	code, body, _ := servePost(t, ts.URL, slowFeedManifest, "")
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d %v", code, body)
+	}
+	resp, err := http.Get(ts.URL + "/sweeps/" + body["id"].(string) + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	opened := time.Now()
+	var last serveJobStatus
+	scanner := bufio.NewScanner(resp.Body)
+	for scanner.Scan() {
+		if err := json.Unmarshal(scanner.Bytes(), &last); err != nil {
+			t.Fatalf("event line not JSON: %v", err)
+		}
+	}
+	if last.State != "done" || last.Completed != 2 {
+		t.Fatalf("stream ended before the terminal snapshot: %+v", last)
+	}
+	if open := time.Since(opened); open <= lowered {
+		t.Fatalf("stream closed after %v, within the %v read timeout; the job is too quick to test it", open, lowered)
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"time"
 
 	"accesys/internal/scenario"
 )
@@ -192,6 +193,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
+	// The stream lasts as long as its job, well past the server's
+	// ReadTimeout. No read deadline may end it and cancel the request
+	// context before the terminal snapshot; ErrNotSupported only means
+	// the connection has no deadline to clear.
+	_ = http.NewResponseController(w).SetReadDeadline(time.Time{})
 	flusher, _ := w.(http.Flusher)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
